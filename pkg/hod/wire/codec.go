@@ -70,29 +70,38 @@ func DecodeJSONArray(r io.Reader) ([]Record, error) {
 }
 
 // DecodeNDJSON parses the default ingest body: one Record object per
-// line, blank lines skipped.
+// line, blank lines skipped, lines up to 1 MiB. Every line decodes
+// exactly as encoding/json decodes it into a Record: canonical lines
+// take a fixed-schema scanner, every other line goes to json.Unmarshal.
+// The body is read once and each distinct identifier string is
+// allocated once per body.
 func DecodeNDJSON(r io.Reader) ([]Record, error) {
+	body, readErr := readBody(r)
 	var out []Record
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	if n := ndjsonCap(body); n > 0 {
+		out = make([]Record, 0, n)
+	}
+	ids := idents{}
 	line := 0
-	for sc.Scan() {
+	for rest := body; len(rest) > 0; {
+		var raw []byte
+		if raw, rest = nextLine(rest); len(raw) > maxNDJSONLine {
+			return nil, fmt.Errorf("ndjson: %w", bufio.ErrTooLong)
+		}
 		line++
-		raw := bytes.TrimSpace(sc.Bytes())
-		if len(raw) == 0 {
+		if raw = bytes.TrimSpace(raw); len(raw) == 0 {
 			continue
 		}
-		var rec Record
-		if err := json.Unmarshal(raw, &rec); err != nil {
+		out = append(out, Record{})
+		if err := decodeLine(raw, &out[len(out)-1], ids); err != nil {
 			return nil, fmt.Errorf("ndjson line %d: %w", line, err)
 		}
-		out = append(out, rec)
 		if len(out) > MaxBatchRecords {
 			return nil, fmt.Errorf("batch exceeds the %d-record cap", MaxBatchRecords)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("ndjson: %w", err)
+	if readErr != nil {
+		return nil, fmt.Errorf("ndjson: %w", readErr)
 	}
 	return out, nil
 }
