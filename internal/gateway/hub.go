@@ -124,6 +124,19 @@ func (h *Hub) Publish(ev wire.Event) {
 	}
 }
 
+// Stats sums the coalescing counters (see Subscriber.Stats) of the live
+// subscribers of one exact (kind, plant) channel.
+func (h *Hub) Stats(kind wire.EventKind, plant string) (coalesced, dropped uint64) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for s := range h.exact[subKey{kind, plant}] {
+		c, d := s.Stats()
+		coalesced += c
+		dropped += d
+	}
+	return coalesced, dropped
+}
+
 // unsubscribe removes the subscriber from every routing set.
 func (h *Hub) unsubscribe(s *Subscriber) {
 	h.mu.Lock()

@@ -182,3 +182,24 @@ func TestPublishConcurrentWithSubscribeRace(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// TestHubStatsSumsChannelSubscribers: Hub.Stats reports the coalescing
+// counters of exactly the subscribers of one (kind, plant) channel.
+func TestHubStatsSumsChannelSubscribers(t *testing.T) {
+	h := NewHub()
+	defer h.Close()
+	h.Subscribe([]wire.Channel{{Kind: wire.EventStats, Plant: "p"}}, nil, 0)
+	b := h.Subscribe([]wire.Channel{{Kind: wire.EventStats, Plant: "p"}}, nil, 0)
+	h.Subscribe([]wire.Channel{{Kind: wire.EventStats, Plant: "q"}}, nil, 0)
+	for rev := uint64(1); rev <= 3; rev++ {
+		h.Publish(wire.Event{Kind: wire.EventStats, Plant: "p", Revision: rev})
+		h.Publish(wire.Event{Kind: wire.EventStats, Plant: "q", Revision: rev})
+	}
+	if co, dropped := h.Stats(wire.EventStats, "p"); co != 4 || dropped != 0 {
+		t.Fatalf("channel p stats = (%d, %d), want (4, 0): two merges per subscriber", co, dropped)
+	}
+	b.Close()
+	if co, _ := h.Stats(wire.EventStats, "p"); co != 2 {
+		t.Fatalf("after a close, channel p coalesced = %d, want 2", co)
+	}
+}

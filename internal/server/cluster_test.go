@@ -6,10 +6,14 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/wal"
+	"repro/pkg/hod/wire"
 )
 
 // TestClusterControlSurfaceGuard pins the contract the route table
@@ -124,5 +128,96 @@ func TestApplyFramesTornVersusCorrupt(t *testing.T) {
 	}
 	if _, err := tailer.applyFrames(nil, 0, &garbage); !errors.Is(err, errShipCorrupt) {
 		t.Fatalf("undecodable payload: err = %v, want errShipCorrupt", err)
+	}
+}
+
+// TestSeedStandbyRefusesForgedSnapshot: a standby seeds from its
+// owner's backup, and a peer's bytes are as untrusted as a client's. A
+// forged snapshot — an oversized setup vector, or a topology that fails
+// Validate — is refused before anything is installed: no plant is
+// registered and no plant dir is left on disk.
+func TestSeedStandbyRefusesForgedSnapshot(t *testing.T) {
+	topo := topoWithDefaults(Topology{ID: "seeded", Lines: []TopoLine{{ID: "l", Machines: []string{"l/m1"}}}})
+	for name, mutate := range map[string]func(*snapState){
+		"oversized setup": func(st *snapState) {
+			sj := st.Machines["l/m1"].Jobs["j1"]
+			sj.Setup = make([]float64, topo.SetupDims+1)
+			st.Machines["l/m1"].Jobs["j1"] = sj
+		},
+		"invalid topology": func(st *snapState) {
+			st.Topo.Lines = append(st.Topo.Lines, TopoLine{ID: "l2", Machines: []string{"l/m1"}})
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			st := &snapState{Topo: topo, Machines: map[string]snapMachine{
+				"l/m1": {Rev: 1, Jobs: map[string]snapJob{"j1": {HasMeta: true}}},
+			}}
+			mutate(st)
+			payload, err := encodeState(st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body := wal.EncodeSnapshot(1, payload)
+			owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path != "/v1/plants/seeded/backup" || r.URL.Query().Get("positions") != "1" {
+					http.NotFound(w, r)
+					return
+				}
+				w.Write(body)
+			}))
+			defer owner.Close()
+
+			dir := t.TempDir()
+			opts := durableOptions(dir)
+			opts.ClusterNodeID = "standby"
+			node := New(opts)
+			defer node.Close()
+			node.cluster.mem = wire.ClusterMembership{Epoch: 1, Nodes: []wire.ClusterNode{
+				{ID: "owner", Addr: owner.URL, State: wire.NodeActive},
+			}}
+			var bad *badSnapshotError
+			if err := node.seedStandby("seeded"); !errors.As(err, &bad) {
+				t.Fatalf("seeding from a forged snapshot: err = %v, want the snapshot refused", err)
+			}
+			if _, ok := node.plant("seeded"); ok {
+				t.Fatal("forged snapshot registered a plant")
+			}
+			if _, err := os.Stat(filepath.Join(dir, plantDirName("seeded"))); !os.IsNotExist(err) {
+				t.Fatalf("forged snapshot left a plant dir behind (stat err %v)", err)
+			}
+		})
+	}
+}
+
+// TestTailerLogsJobEntryVerbatim: a standby applies a shipped job
+// entry and appends it to its own shard-0 log byte for byte — the same
+// payload a later restart of the standby replays.
+func TestTailerLogsJobEntryVerbatim(t *testing.T) {
+	ps := newPlantState(binaryTestTopo())
+	ps.makeShards(2, 8)
+	if err := ps.attachDur(t.TempDir(), wal.Options{Policy: wal.SyncNone}); err != nil {
+		t.Fatal(err)
+	}
+	defer ps.dur.close()
+	payload, err := encodeJobsEntry([]JobMeta{{Machine: "m0", Job: "job-a", Setup: []float64{1.5}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tailer := &walTailer{after: make([]uint64, 1)}
+	if err := tailer.apply(ps, payload); err != nil {
+		t.Fatal(err)
+	}
+	if js := ps.machines["m0"].jobs["job-a"]; js == nil || !js.hasMeta || js.setup[0] != 1.5 {
+		t.Fatalf("shipped job metadata not applied: %+v", js)
+	}
+	var logged [][]byte
+	if err := ps.dur.logs[0].ReadAfter(0, 1<<20, func(_ uint64, p []byte) error {
+		logged = append(logged, append([]byte(nil), p...))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(logged) != 1 || !bytes.Equal(logged[0], payload) {
+		t.Fatalf("standby logged %q, want the shipped entry %q verbatim", logged, payload)
 	}
 }

@@ -378,3 +378,31 @@ func TestRollupLevelEchoesComputed(t *testing.T) {
 		}
 	}
 }
+
+// TestJobsRejectsControlCharJobID: job metadata names a job id the cube
+// and the WAL carry, so /jobs vets it like ingest does — a bad id is
+// counted as rejected with the ValidIdent message, and the rest of the
+// batch still applies.
+func TestJobsRejectsControlCharJobID(t *testing.T) {
+	p, err := plant.Simulate(plant.Config{Seed: 3, Lines: 1, MachinesPerLine: 1, JobsPerMachine: 1, PhaseSamples: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Options{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	register(t, ts.URL, topoFromPlant("plant-ctl-jobs", p))
+
+	m := p.Machines()[0]
+	metas, _ := json.Marshal([]JobMeta{{Machine: m.ID, Job: "j\x1fx"}, {Machine: m.ID, Job: m.Jobs[0].ID}})
+	resp := postRetry(t, ts.URL+"/v1/plants/plant-ctl-jobs/jobs", "application/json", metas)
+	var ack wire.JobsAck
+	if err := json.Unmarshal(mustStatus(t, resp, http.StatusAccepted), &ack); err != nil {
+		t.Fatal(err)
+	}
+	want := wire.ValidIdent("job", "j\x1fx").Error()
+	if ack.Jobs != 1 || ack.Rejected != 1 || ack.FirstRejection != want {
+		t.Fatalf("ack %+v, want 1 job, 1 rejected, first rejection %q", ack, want)
+	}
+}

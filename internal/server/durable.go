@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"encoding/gob"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log"
+	"maps"
 	"math"
 	"net/url"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -34,36 +37,66 @@ import (
 // fold path; the idempotent set-at-index store makes over-replay
 // harmless, so the recovery boundary only has to be conservative.
 
-// walEntry is one durable unit of the legacy gob encoding: a shard
-// chunk of validated records, or a batch of applied job metadata
-// (shard 0's log). New record chunks are written as tagged binary
-// frames (walRefTag below); gob remains for job metadata and for
-// replaying logs written before the binary format existed.
+// Every WAL payload starts with a tag byte naming its kind: walRefTag
+// for one admitted record chunk as a wire.Frame (without its length
+// prefix — the WAL already frames payloads), walJobsTag for one batch
+// of applied job metadata (shard 0's log) as the JSON array POST
+// /v1/plants/{id}/jobs accepts. Any other first byte — such as the gob
+// entries of data dirs written before the tags existed — is refused
+// with ErrWALFormat, never misread.
+const (
+	walRefTag  = 0xB1
+	walJobsTag = 0xB2
+)
+
+// ErrWALFormat marks a WAL payload whose tag byte names no known entry
+// kind. Open fails with it and leaves the data dir untouched; a dir
+// written by an older binary moves over by backing its plants up with
+// that binary and restoring the backups.
+var ErrWALFormat = errors.New("server: unknown WAL entry format")
+
+// walEntry is one decoded WAL payload: a record chunk resolved against
+// the current intern tables (rejected counts the records the current
+// topology no longer resolves), or a batch of job metadata.
 type walEntry struct {
-	Recs []wire.Record
-	Jobs []wire.JobMeta
+	refs     []recordRef
+	rejected int
+	jobs     []JobMeta
 }
 
-func encodeEntry(e walEntry) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(e); err != nil {
+// decodeWALEntry is the one decoder of WAL payloads: local replay and
+// the standby tailer both call it, and prefix its errors with the shard
+// and seq the payload came from.
+func (ps *plantState) decodeWALEntry(p []byte) (walEntry, error) {
+	var e walEntry
+	if len(p) == 0 {
+		return e, fmt.Errorf("%w: empty payload", ErrWALFormat)
+	}
+	switch p[0] {
+	case walRefTag:
+		var f wire.Frame
+		if err := wire.DecodeFrame(p[1:], &f); err != nil {
+			return e, fmt.Errorf("record frame entry: %w", err)
+		}
+		e.refs, e.rejected, _ = ps.resolveFrame(nil, &f)
+	case walJobsTag:
+		if err := json.Unmarshal(p[1:], &e.jobs); err != nil {
+			return e, fmt.Errorf("job metadata entry: %w", err)
+		}
+	default:
+		return e, fmt.Errorf("%w: first byte 0x%02x", ErrWALFormat, p[0])
+	}
+	return e, nil
+}
+
+// encodeJobsEntry encodes job metadata as a walJobsTag payload.
+func encodeJobsEntry(metas []JobMeta) ([]byte, error) {
+	buf, err := json.Marshal(metas)
+	if err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	return append([]byte{walJobsTag}, buf...), nil
 }
-
-func decodeEntry(p []byte) (walEntry, error) {
-	var e walEntry
-	err := gob.NewDecoder(bytes.NewReader(p)).Decode(&e)
-	return e, err
-}
-
-// walRefTag marks a WAL payload holding one wire.Frame (without its
-// length prefix — the WAL already frames payloads) instead of a gob
-// walEntry. A gob stream's first byte is an unsigned varint length in
-// 0x01..0x7f (or a 0xf8..0xff length-of-length marker), so 0xB1 never
-// collides with a legacy entry.
-const walRefTag = 0xB1
 
 // The admit path re-encodes each chunk into a frame without touching
 // the JSON machinery; the scratch encode buffers and the replay-side
@@ -414,7 +447,7 @@ func (ps *plantState) appendJobs(metas []JobMeta) error {
 	if ps.dur == nil || len(metas) == 0 {
 		return nil
 	}
-	payload, err := encodeEntry(walEntry{Jobs: metas})
+	payload, err := encodeJobsEntry(metas)
 	if err != nil {
 		return err
 	}
@@ -532,27 +565,14 @@ func (ps *plantState) captureState() *snapState {
 // are routed by the *current* machine→shard hash, so a restart with a
 // different shard count still lands them where the worker expects.
 func (ps *plantState) applyState(st *snapState) {
-	// Reproduce the job-id assignment the snapshot was captured under;
-	// snapshots from before interning carry no table, so re-intern in
-	// sorted machine/job order — deterministic regardless of the map
-	// iteration the capture side used.
-	if st.JobInterns != nil {
-		ps.in.jobs = intern.NewDyn(st.JobInterns)
-	} else {
-		machineIDs := make([]string, 0, len(st.Machines))
-		for id := range st.Machines {
-			machineIDs = append(machineIDs, id)
-		}
-		sort.Strings(machineIDs)
-		for _, id := range machineIDs {
-			jobIDs := make([]string, 0, len(st.Machines[id].Jobs))
-			for jid := range st.Machines[id].Jobs {
-				jobIDs = append(jobIDs, jid)
-			}
-			sort.Strings(jobIDs)
-			for _, jid := range jobIDs {
-				ps.in.jobs.Intern(jid)
-			}
+	// Reproduce the job-id assignment the snapshot was captured under,
+	// then intern any job the table lacks (all of them in a backup from
+	// before interning) in sorted machine/job order — deterministic
+	// regardless of the map iteration the capture side used.
+	ps.in.jobs = intern.NewDyn(st.JobInterns)
+	for _, id := range slices.Sorted(maps.Keys(st.Machines)) {
+		for _, jid := range slices.Sorted(maps.Keys(st.Machines[id].Jobs)) {
+			ps.in.jobs.Intern(jid)
 		}
 	}
 	for id, sm := range st.Machines {
@@ -730,7 +750,7 @@ func (ps *plantState) recover() error {
 		}
 		if err := l.Replay(after, func(seq uint64, p []byte) error {
 			if err := ps.replayPayload(p); err != nil {
-				return err
+				return fmt.Errorf("shard %d seq %d: %w", i, seq, err)
 			}
 			ps.shards[i].foldedSeq.Store(seq)
 			return nil
@@ -750,8 +770,11 @@ func (ps *plantState) recover() error {
 		if err != nil {
 			return err
 		}
-		err = l.Replay(0, func(_ uint64, p []byte) error {
-			return ps.replayPayload(p)
+		err = l.Replay(0, func(seq uint64, p []byte) error {
+			if err := ps.replayPayload(p); err != nil {
+				return fmt.Errorf("%s seq %d: %w", filepath.Base(dir), seq, err)
+			}
+			return nil
 		})
 		l.Close()
 		if err != nil {
@@ -769,37 +792,15 @@ func (ps *plantState) recover() error {
 	return nil
 }
 
-// replayPayload folds one WAL payload through the regular ingest path,
-// dispatching on the leading tag byte: binary ref frames (walRefTag)
-// re-resolve their dictionaries against the current intern tables;
-// everything else is a legacy gob walEntry.
+// replayPayload folds one WAL payload through the regular ingest path.
 func (ps *plantState) replayPayload(p []byte) error {
-	if len(p) > 0 && p[0] == walRefTag {
-		var f wire.Frame
-		if err := wire.DecodeFrame(p[1:], &f); err != nil {
-			return err
-		}
-		refs, rejected, _ := ps.resolveFrame(nil, &f)
-		ps.foldResolved(refs, rejected)
-		return nil
-	}
-	ent, err := decodeEntry(p)
+	e, err := ps.decodeWALEntry(p)
 	if err != nil {
 		return err
 	}
-	ps.replayEntry(ent)
+	ps.foldResolved(e.refs, e.rejected)
+	ps.applyJobMetas(e.jobs)
 	return nil
-}
-
-// replayEntry folds one legacy gob WAL entry.
-func (ps *plantState) replayEntry(ent walEntry) {
-	if len(ent.Recs) > 0 {
-		refs, rejected, _ := ps.resolveRecords(nil, ent.Recs)
-		ps.foldResolved(refs, rejected)
-	}
-	if len(ent.Jobs) > 0 {
-		ps.applyJobMetas(ent.Jobs)
-	}
 }
 
 // foldResolved folds re-resolved replay refs shard by shard. A record
@@ -921,6 +922,99 @@ func (s *Server) persistNewPlant(ps *plantState, topo Topology) (cleanup func(),
 	}
 	ps.startSnapshotLoop(s.opts.SnapshotInterval)
 	return cleanup, nil
+}
+
+var (
+	errShuttingDown = errors.New("server is shutting down")
+	errPlantExists  = errors.New("plant already registered")
+)
+
+// badSnapshotError is a snapshot installSnapshot refuses before it
+// touches the registry; code is the wire error code a client gets.
+type badSnapshotError struct {
+	code string
+	err  error
+}
+
+func (e *badSnapshotError) Error() string { return e.err.Error() }
+func (e *badSnapshotError) Unwrap() error { return e.err }
+
+// installSnapshot is the one path from a framed snapshot to a serving
+// plant, shared by restore and standby seeding. The snapshot is vetted
+// like any other untrusted input, whether a client or a peer sent it:
+// it must hold plant id, a valid topology, and state that passes
+// validateState. With a data dir the rebased snapshot — SnapshotRev
+// from the frame, no WAL positions, since they name the source's logs —
+// is durable before the plant becomes visible. The returned state
+// still carries the source's ShardSeqs, where a standby starts tailing.
+func (s *Server) installSnapshot(id string, buf []byte) (*snapState, error) {
+	rev, payload, err := wal.DecodeSnapshot(buf)
+	if err != nil {
+		return nil, &badSnapshotError{wire.CodeBadRequest, err}
+	}
+	st, err := decodeState(payload)
+	if err != nil {
+		return nil, &badSnapshotError{wire.CodeBadRequest, fmt.Errorf("decoding backup state: %w", err)}
+	}
+	if st.Topo.ID != id {
+		return nil, &badSnapshotError{wire.CodeBadRequest, fmt.Errorf("backup holds plant %q, not %q", st.Topo.ID, id)}
+	}
+	if err := st.Topo.Validate(); err != nil {
+		return nil, &badSnapshotError{wire.CodeBadRequest, err}
+	}
+	if err := validateState(st); err != nil {
+		// The ingest path rejects oversized and non-finite job vectors
+		// with 400; a snapshot must not smuggle them past the same gate.
+		// Malformed or non-finite cube cells are the cube-fed flavour of
+		// the same policy and carry the generic bad_request code.
+		code := wire.CodeVectorDims
+		if errors.Is(err, olap.ErrNonFinite) || errors.Is(err, olap.ErrSchema) {
+			code = wire.CodeBadRequest
+		}
+		return nil, &badSnapshotError{code, err}
+	}
+	st.SnapshotRev = rev
+	var rebased []byte
+	if s.opts.DataDir != "" {
+		// Encoded before the registry lock so the gob pass doesn't stall
+		// unrelated requests.
+		base := *st
+		base.ShardSeqs = nil
+		if rebased, err = encodeState(&base); err != nil {
+			return nil, fmt.Errorf("encoding snapshot: %w", err)
+		}
+	}
+	ps := newPlantState(st.Topo)
+	ps.makeShards(s.opts.Shards, s.opts.QueueDepth)
+	ps.alertThreshold = s.opts.AlertThreshold
+	ps.publish = s.hub.Publish
+	ps.applyState(st)
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed.Load() {
+		return nil, errShuttingDown
+	}
+	if _, exists := s.plants[id]; exists {
+		return nil, errPlantExists
+	}
+	if s.opts.DataDir != "" {
+		//hod:allow(lockorder) install atomicity: the exists-check and plant-dir creation must be one critical section or a concurrent register of the same ID could interleave
+		cleanup, err := s.persistNewPlant(ps, st.Topo)
+		if err != nil {
+			return nil, fmt.Errorf("persisting plant: %w", err)
+		}
+		// The fresh WALs are empty: everything must come from this file.
+		//hod:allow(lockorder) same install critical section: the baseline snapshot must land before the plant becomes visible
+		if err := wal.SaveSnapshot(ps.dur.dir, rev, rebased); err != nil {
+			cleanup()
+			return nil, fmt.Errorf("persisting snapshot: %w", err)
+		}
+		ps.dur.snapRev.Store(rev)
+	}
+	ps.spawn()
+	s.plants[id] = ps
+	return st, nil
 }
 
 // loadPlant recovers one persisted plant directory into the registry.

@@ -47,7 +47,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/gateway"
-	"repro/internal/olap"
 	"repro/internal/wal"
 	"repro/pkg/hod/wire"
 )
@@ -444,19 +443,23 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request, ps *plantSta
 	}
 	rejected := 0
 	var firstErr string
+	reject := func(msg string) {
+		rejected++
+		if firstErr == "" {
+			firstErr = msg
+		}
+	}
 	valid := metas[:0]
 	for _, m := range metas {
+		// The job id becomes a cube coordinate: vetted like ingest vets it.
+		jobErr := wire.ValidIdent("job", m.Job)
 		switch {
 		case ps.machines[m.Machine] == nil:
-			rejected++
-			if firstErr == "" {
-				firstErr = fmt.Sprintf("unregistered machine %q", m.Machine)
-			}
+			reject(fmt.Sprintf("unregistered machine %q", m.Machine))
 		case m.Job == "":
-			rejected++
-			if firstErr == "" {
-				firstErr = "missing job id"
-			}
+			reject("missing job id")
+		case jobErr != nil:
+			reject(jobErr.Error())
 		default:
 			valid = append(valid, m)
 		}
@@ -543,89 +546,25 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, wire.CodeBadRequest, "reading backup: "+err.Error())
 		return
 	}
-	rev, payload, err := wal.DecodeSnapshot(buf)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, wire.CodeBadRequest, err.Error())
-		return
-	}
-	st, err := decodeState(payload)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, wire.CodeBadRequest, "decoding backup state: "+err.Error())
-		return
-	}
 	id := r.PathValue("id")
-	if st.Topo.ID != id {
-		writeErr(w, http.StatusBadRequest, wire.CodeBadRequest,
-			fmt.Sprintf("backup holds plant %q, not %q", st.Topo.ID, id))
-		return
-	}
-	if err := st.Topo.Validate(); err != nil {
-		writeErr(w, http.StatusBadRequest, wire.CodeBadRequest, err.Error())
-		return
-	}
-	if err := validateState(st); err != nil {
-		// The ingest path rejects oversized and non-finite job vectors
-		// with 400; a backup must not smuggle them past the same gate.
-		// Malformed or non-finite cube cells are the cube-fed flavour
-		// of the same policy and carry the generic bad_request code.
-		code := wire.CodeVectorDims
-		if errors.Is(err, olap.ErrNonFinite) || errors.Is(err, olap.ErrSchema) {
-			code = wire.CodeBadRequest
-		}
-		writeErr(w, http.StatusBadRequest, code, err.Error())
-		return
-	}
-	st.ShardSeqs = nil // positions of the source server's WALs, if any
-	// The rebased snapshot the data dir will hold; encoded before the
-	// registry lock so the gob pass doesn't stall unrelated requests.
-	st.SnapshotRev = rev
-	rebased, err := encodeState(st)
+	st, err := s.installSnapshot(id, buf)
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, wire.CodeInternal, "encoding snapshot: "+err.Error())
-		return
-	}
-
-	s.mu.Lock()
-	if s.closed.Load() {
-		s.mu.Unlock()
-		writeErr(w, http.StatusServiceUnavailable, wire.CodeShuttingDown, "server is shutting down")
-		return
-	}
-	if _, exists := s.plants[id]; exists {
-		s.mu.Unlock()
-		writeErr(w, http.StatusConflict, wire.CodeAlreadyRegistered,
-			fmt.Sprintf("plant %q already registered; restore needs a fresh id", id))
-		return
-	}
-	ps := newPlantState(st.Topo)
-	ps.makeShards(s.opts.Shards, s.opts.QueueDepth)
-	ps.alertThreshold = s.opts.AlertThreshold
-	ps.publish = s.hub.Publish
-	ps.applyState(st)
-	if s.opts.DataDir != "" {
-		//hod:allow(lockorder) restore atomicity: the exists-check and plant-dir creation must be one critical section or a concurrent register of the same ID could interleave
-		cleanup, err := s.persistNewPlant(ps, st.Topo)
-		if err != nil {
-			s.mu.Unlock()
-			writeErr(w, http.StatusInternalServerError, wire.CodeInternal, "persisting plant: "+err.Error())
-			return
+		var bad *badSnapshotError
+		switch {
+		case errors.As(err, &bad):
+			writeErr(w, http.StatusBadRequest, bad.code, err.Error())
+		case errors.Is(err, errShuttingDown):
+			writeErr(w, http.StatusServiceUnavailable, wire.CodeShuttingDown, err.Error())
+		case errors.Is(err, errPlantExists):
+			writeErr(w, http.StatusConflict, wire.CodeAlreadyRegistered,
+				fmt.Sprintf("plant %q already registered; restore needs a fresh id", id))
+		default:
+			writeErr(w, http.StatusInternalServerError, wire.CodeInternal, err.Error())
 		}
-		// Make the restored baseline itself durable: the fresh WALs are
-		// empty, so everything must come from the snapshot file.
-		//hod:allow(lockorder) same restore critical section: the baseline snapshot must land before the plant becomes visible
-		if err := wal.SaveSnapshot(ps.dur.dir, rev, rebased); err != nil {
-			cleanup()
-			s.mu.Unlock()
-			writeErr(w, http.StatusInternalServerError, wire.CodeInternal, "persisting snapshot: "+err.Error())
-			return
-		}
-		ps.dur.snapRev.Store(rev)
+		return
 	}
-	ps.spawn()
-	s.plants[id] = ps
-	s.mu.Unlock()
 	writeJSON(w, http.StatusCreated, wire.RestoreAck{
-		ID: id, Machines: len(st.Machines), Records: st.Received, SnapshotRev: rev,
+		ID: id, Machines: len(st.Machines), Records: st.Received, SnapshotRev: st.SnapshotRev,
 	})
 }
 

@@ -772,8 +772,8 @@ func TestCorrectedValueReachesSnapshot(t *testing.T) {
 }
 
 // TestReplaySurvivesUnknownMachine is the successor of the old
-// shard-worker nil-deref regression test: a WAL entry can carry a
-// record for a machine the current topology no longer registers
+// shard-worker nil-deref regression test: a WAL record frame can carry
+// a record for a machine the current topology no longer registers
 // (topology drift in a replayed log). Interning makes the crash
 // structurally impossible — an unresolvable record never becomes a
 // recordRef — but the replay path must still count it as rejected and
@@ -790,10 +790,24 @@ func TestReplaySurvivesUnknownMachine(t *testing.T) {
 	defer ps.close()
 
 	m := p.Machines()[0]
-	ps.replayEntry(walEntry{Recs: []Record{
-		{Machine: "ghost", Job: "j", Phase: "print", Sensor: "temp-a", T: 0, Value: 1},
-		{Machine: m.ID, Job: m.Jobs[0].ID, Phase: "print", Sensor: "temp-a", T: 0, Value: 1},
-	}})
+	// refFrame builds the WAL payload admit writes: the walRefTag byte,
+	// then a frame without its length prefix.
+	refFrame := func(f *wire.Frame) []byte {
+		t.Helper()
+		f.Jobs, f.Phases, f.Sensors = []string{m.Jobs[0].ID}, []string{"print"}, []string{"temp-a"}
+		f.Job, f.Phase, f.Sensor = make([]int32, f.Len()), make([]int32, f.Len()), make([]int32, f.Len())
+		buf, err := wire.AppendFrame(nil, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append([]byte{walRefTag}, buf[4:]...)
+	}
+	if err := ps.replayPayload(refFrame(&wire.Frame{
+		Machines: []string{"ghost", m.ID},
+		Machine:  []int32{0, 1}, T: []int32{0, 0}, Value: []float64{1, 1},
+	})); err != nil {
+		t.Fatal(err)
+	}
 	if got := ps.rejected.Load(); got != 1 {
 		t.Fatalf("rejected = %d, want 1", got)
 	}
@@ -804,9 +818,11 @@ func TestReplaySurvivesUnknownMachine(t *testing.T) {
 		t.Fatalf("accepted = %d, want 1", got)
 	}
 	// Replay keeps folding after the drift: a second entry lands too.
-	ps.replayEntry(walEntry{Recs: []Record{
-		{Machine: m.ID, Job: m.Jobs[0].ID, Phase: "print", Sensor: "temp-a", T: 1, Value: 2},
-	}})
+	if err := ps.replayPayload(refFrame(&wire.Frame{
+		Machines: []string{m.ID}, Machine: []int32{0}, T: []int32{1}, Value: []float64{2},
+	})); err != nil {
+		t.Fatal(err)
+	}
 	if got := ps.accepted.Load(); got != 2 {
 		t.Fatalf("accepted = %d, want 2", got)
 	}

@@ -105,12 +105,8 @@ func newMachineStore(nPhases, nSensors int) *machineStore {
 func (ms *machineStore) job(id int32, name string) *jobStore {
 	j, ok := ms.jobsByID[id]
 	if !ok {
-		// The name map can already hold the job when a legacy snapshot
-		// was applied before its id existed; re-link rather than fork.
-		if j, ok = ms.jobs[name]; !ok {
-			j = &jobStore{phases: make([]*cellGrid, ms.nPhases)}
-			ms.jobs[name] = j
-		}
+		j = &jobStore{phases: make([]*cellGrid, ms.nPhases)}
+		ms.jobs[name] = j
 		ms.jobsByID[id] = j
 	}
 	return j

@@ -4,8 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net"
+	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -28,11 +31,18 @@ type pushFixture struct {
 
 func newPushFixture(t *testing.T, opts Options, clientOpts ...hod.ClientOption) *pushFixture {
 	t.Helper()
+	return startPushFixture(t, opts, httptest.NewServer, clientOpts...)
+}
+
+// startPushFixture is newPushFixture with the test server built by
+// serve.
+func startPushFixture(t *testing.T, opts Options, serve func(http.Handler) *httptest.Server, clientOpts ...hod.ClientOption) *pushFixture {
+	t.Helper()
 	if opts.AlertThreshold == 0 {
 		opts.AlertThreshold = 0.5
 	}
 	srv := New(opts)
-	ts := httptest.NewServer(srv.Handler())
+	ts := serve(srv.Handler())
 	t.Cleanup(func() { ts.Close(); srv.Close() })
 	p, err := plant.Simulate(testConfig())
 	if err != nil {
@@ -163,7 +173,16 @@ func TestWSSubscriberConvergesToPolledAlerts(t *testing.T) {
 func TestStalledSubscriberCoalesces(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
-	f := newPushFixture(t, Options{})
+	// The trace publishes megabytes of alert events. With the server's
+	// send buffer shrunk, a stalled reader blocks the push writer after a
+	// few events, so the rest must coalesce in the server-side queue
+	// instead of parking in socket buffers.
+	f := startPushFixture(t, Options{}, func(h http.Handler) *httptest.Server {
+		ts := httptest.NewUnstartedServer(h)
+		ts.Listener = smallSendBufListener{ts.Listener}
+		ts.Start()
+		return ts
+	})
 	sub, err := f.c.SubscribeAlerts(ctx, f.id)
 	if err != nil {
 		t.Fatal(err)
@@ -173,6 +192,17 @@ func TestStalledSubscriberCoalesces(t *testing.T) {
 	// Stall: no Next calls while the whole trace folds. Ingest must
 	// finish regardless — the hub never blocks the fold path.
 	f.ingestAll(t, ctx)
+	// Resume only once the server-side queue has coalesced.
+	for {
+		if coalesced, _ := f.srv.hub.Stats(wire.EventAlert, f.id); coalesced > 0 {
+			break
+		}
+		select {
+		case <-ctx.Done():
+			t.Fatal("stalled subscriber's server-side queue never coalesced")
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
 	polled, err := f.c.Alerts(ctx, f.id, -1)
 	if err != nil {
 		t.Fatal(err)
@@ -215,6 +245,21 @@ func TestStalledSubscriberCoalesces(t *testing.T) {
 	if string(gotJSON) != string(wantJSON) {
 		t.Fatalf("stalled subscriber's final state differs from polled alerts")
 	}
+}
+
+// smallSendBufListener shrinks the kernel send buffer of every accepted
+// connection.
+type smallSendBufListener struct{ net.Listener }
+
+func (l smallSendBufListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if tc, ok := c.(*net.TCPConn); ok {
+		if err := tc.SetWriteBuffer(4 << 10); err != nil {
+			c.Close()
+			return nil, err
+		}
+	}
+	return c, err
 }
 
 // TestForeignTenantSubscribeRejected pins the auth contract of the
@@ -305,6 +350,9 @@ func TestConcurrentSubscribersDuringIngest(t *testing.T) {
 		err    error
 	}
 	results := make([]result, nSubs)
+	// lastSeq publishes each subscriber's newest alert seq to the
+	// catch-up poll below; results are read only after wg.Wait.
+	lastSeq := make([]atomic.Uint64, nSubs)
 	var wg sync.WaitGroup
 	for i, sub := range subs {
 		wg.Add(1)
@@ -321,6 +369,9 @@ func TestConcurrentSubscribersDuringIngest(t *testing.T) {
 				switch ev.Kind {
 				case wire.EventAlert:
 					results[i].alerts = append(results[i].alerts, ev.Alerts...)
+					if n := len(results[i].alerts); n > 0 {
+						lastSeq[i].Store(results[i].alerts[n-1].Seq)
+					}
 				case wire.EventStats:
 					results[i].stats++
 				case wire.EventCubeDelta:
@@ -345,7 +396,7 @@ func TestConcurrentSubscribersDuringIngest(t *testing.T) {
 			if i%3 == 2 {
 				continue // no alert channel
 			}
-			if n := len(results[i].alerts); n == 0 || results[i].alerts[n-1].Seq < wantMax {
+			if lastSeq[i].Load() < wantMax {
 				behind = true
 			}
 		}
